@@ -124,8 +124,8 @@ def test_micro_stream_enqueue(benchmark):
     gpu = Gpu(engine, SPEC, node_name="n", index=0)
     stream = gpu.new_stream()
 
-    def body():
-        yield engine.timeout(0.0)
+    def body(op):
+        op.sleep(0.0, lambda op: op.finish(None))
 
     def enqueue_and_drain():
         stream.enqueue(body)

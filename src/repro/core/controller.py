@@ -35,9 +35,9 @@ from repro.core.dag import DependencyDag
 from repro.core.intranode import IntraNodeScheduler, _ce_completed
 from repro.core.pipeline import (AdmissionStage, CoherenceStage,
                                  DataMovementStage, DispatchStage,
-                                 FairShareGate, FastMove,
-                                 HOST_MEM_BANDWIDTH, NODE_CRASH,
-                                 PlacementStage, SchedulingPipeline)
+                                 FairShareGate, HOST_MEM_BANDWIDTH, Move,
+                                 NODE_CRASH, PlacementStage,
+                                 SchedulingPipeline)
 from repro.core.planner import TransferPlanner
 from repro.core.policies import Policy, SchedulingContext
 
@@ -386,11 +386,6 @@ class Controller:
         if scheduler is None:
             raise KeyError(f"no live worker named {name!r}")
         started = self.engine.now
-        # Direct crash calls (no armed fault plan) also flip the fabric
-        # into resilient mode: recovery moves and later re-executions may
-        # be interrupted by further crashes, so they need the
-        # interruptible generator path from here on.
-        self.cluster.fabric.resilient = True
 
         ops_aborted = scheduler.abort_inflight((NODE_CRASH, name))
         unfinished = sorted(
@@ -400,16 +395,14 @@ class Controller:
             key=lambda ce: ce.ce_id)
 
         repair = self.directory.drop_node(name)
+        # Moves and planner relay legs (processes) share the interrupt
+        # API: a move *into* the dead node dies outright, one fed *by*
+        # it re-sources on the NODE_CRASH cause.
         for ev in repair.cancelled:
-            if isinstance(ev, (Process, FastMove)):
-                # Not a NODE_CRASH cause: the resilient mover re-sources on
-                # those, but a move *into* the dead node must die outright.
+            if isinstance(ev, (Move, Process)):
                 ev.cancel(("move-cancelled", name))
         for ev in repair.rerouted:
-            if isinstance(ev, FastMove):
-                if ev.is_alive:
-                    ev.interrupt_crash(name)
-            elif isinstance(ev, Process) and ev.is_alive:
+            if isinstance(ev, (Move, Process)) and ev.is_alive:
                 ev.interrupt((NODE_CRASH, name))
 
         self.context.workers = [w for w in self.context.workers

@@ -509,6 +509,27 @@ class DependencyDag:
 
     # -- maintenance ------------------------------------------------------------
 
+    def forget_buffer(self, buffer_id: int) -> None:
+        """Drop a freed buffer's frontier (no-op when absent).
+
+        Its last writer, readers and cohort joins leave the frontier, so
+        :meth:`prune_completed` collects them once complete — a last
+        writer is otherwise pinned for good.  A freed buffer takes no
+        further accesses, so no future dependency is lost.
+        """
+        bf = self._buffers.pop(buffer_id, None)
+        if bf is None:
+            return
+        departed: list[int] = []
+        if bf.last_writer is not None:
+            self._leave(bf.last_writer.ce_id, departed)
+        for join in bf.cohorts:
+            self._leave(join.ce_id, departed)
+        for r in bf.readers:
+            self._leave(r.ce_id, departed)
+        self._settle_departed(departed)
+        self._frontier_dirty = True
+
     def mark_done(self, ce: ComputationalElement) -> None:
         """Record a CE's completion the moment it happens.
 

@@ -33,7 +33,8 @@ the truth.
 
 **Invalidation.**  Structural events — worker added, worker crash,
 faults armed — bump the cache epoch and drop every plan; replayers
-notice the stale epoch on their next CE and fall back.  The store is a
+notice the stale epoch on their next CE and fall back.  A crash or an
+armed fault plan also stops all later recording.  The store is a
 bounded LRU; everything is observable under the
 ``grout_plancache_*`` metrics.
 
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.ce import CeKind
-from repro.core.pipeline import FastMove
+from repro.core.pipeline import Move
 from repro.core.pipeline.base import SchedulingState
 from repro.uvm.manager import KernelCostRecord, capture_kernel_cost
 
@@ -173,6 +174,8 @@ class PlanCache:
         #: Topology/fault generation; bumped on every structural change.
         #: Plans and replayers from older epochs are dead on arrival.
         self.epoch = 0
+        #: Set for good once faults are armed or a worker crashed.
+        self._refused = False
         self._plans: "OrderedDict[str, SchedulePlan]" = OrderedDict()
         self._nbytes = 0
         registry = controller.metrics
@@ -198,16 +201,9 @@ class PlanCache:
         return self._nbytes
 
     def recordable(self) -> bool:
-        """Whether current fabric state allows recording *and* replay.
-
-        Mirrors the mover's FastMove precondition: armed fault
-        machinery (resilient fabric, chunked or retried transfers)
-        needs the interruptible generator path, which the replayer does
-        not reproduce.
-        """
-        fabric = self.controller.cluster.fabric
-        return (not fabric.resilient and fabric.chunk_bytes is None
-                and fabric.retry.attempt_timeout is None)
+        """Whether new plans may be recorded: not once a fault plan was
+        armed or a worker crashed (see :meth:`invalidate_all`)."""
+        return not self._refused
 
     # -- session attachment ------------------------------------------------------
 
@@ -237,7 +233,14 @@ class PlanCache:
         self._cost_replays.inc()
 
     def invalidate_all(self, reason: str) -> None:
-        """Structural change: bump the epoch and drop every plan."""
+        """Structural change: bump the epoch and drop every plan.
+
+        ``"faults"`` and ``"crash"`` also stop all later recording: a
+        faulted run's decisions (re-sourced moves, re-executions) are
+        no plan to replay for a healthy program.
+        """
+        if reason in ("faults", "crash"):
+            self._refused = True
         self.epoch += 1
         self._plans.clear()
         self._nbytes = 0
@@ -357,8 +360,7 @@ class _PlanRecorder:
     def commit(self) -> None:
         """Store the finished plan (session close hook)."""
         cache = self.cache
-        if (not self._steps or self._epoch != cache.epoch
-                or not cache.recordable()):
+        if not self._steps or self._epoch != cache.epoch:
             return
         steps = tuple(self._steps)
         costs = dict(self._launch_costs)
@@ -425,8 +427,6 @@ class _PlanReplayer:
         controller = self._controller
         if cache.epoch != self.epoch:
             return self._fallback("stale-epoch")
-        if not cache.recordable():
-            return self._fallback("faults-armed")
         steps = self.plan.steps
         pos = self.pos
         if pos >= len(steps):
@@ -514,7 +514,7 @@ class _PlanReplayer:
                 producer = last.done if last is not None else None
                 if src != home:
                     stats.count_p2p()
-                ev = FastMove(mover, array, src, node, producer, ce)
+                ev = Move(mover, array, src, node, producer, ce)
                 directory.record_replication(
                     array, node, ev, src=src,
                     producer_id=last.ce_id if producer is not None

@@ -166,14 +166,9 @@ class GroutRuntime:
                            "worker state)")
         cluster = self.cluster
         controller = self.controller
-        # Faults are coming: every transfer must be interruptible and
-        # release its NIC ends mid-wire, so disable the fast-path chain
-        # for the whole run up front (keeps schedules deterministic
-        # regardless of when the first fault actually fires).
-        cluster.fabric.resilient = True
         if controller.plan_cache is not None:
-            # Recorded plans replay the non-resilient fast-path moves;
-            # none survive an armed fault plan.
+            # Recorded plans assume a fault-free run; none survive an
+            # armed fault plan, and no new ones are recorded.
             controller.plan_cache.invalidate_all("faults")
 
         def crash(fault):
@@ -214,10 +209,12 @@ class GroutRuntime:
         return array
 
     def free(self, array: ManagedArray) -> None:
-        """Drop an array from the coherence directory and every worker."""
+        """Drop an array from the coherence directory, the dependency
+        DAG's frontier and every worker."""
         for worker in self.controller.workers.values():
             worker.drop_replica(array)
         self.controller.directory.forget(array)
+        self.controller.dag.forget_buffer(array.buffer_id)
 
     # -- computation -----------------------------------------------------------------
 

@@ -210,8 +210,8 @@ class TestInvalidation:
         assert len(rt.controller.plan_cache) == 0
         assert _counter(rt, "grout_plancache_invalidations_total",
                         reason="crash") == 1
-        # The crash latched the fabric resilient: later keyed sessions
-        # miss and do not even record (plans could not replay).
+        # A crash stops the cache recording for good: later keyed
+        # sessions miss and do not even record.
         cold = rt.session("cold", plan_key="axpy")
         assert cold._plan_recorder is None
         y2, expected2 = _program(cold)

@@ -4,13 +4,13 @@ import pytest
 
 
 def op(engine, duration, log=None, tag=None):
-    def body():
-        yield engine.timeout(duration)
+    """An op body sleeping ``duration``, then logging and finishing."""
+    def fin(o):
         if log is not None:
             log.append((tag, engine.now))
-        return tag
+        o.finish(tag)
 
-    return body
+    return lambda o: o.sleep(duration, fin)
 
 
 class TestFifoOrder:
@@ -89,3 +89,46 @@ class TestTracing:
     def test_lane_includes_gpu_and_stream(self, engine, gpu):
         stream = gpu.new_stream()
         assert stream.lane == "n0/gpu0/stream0"
+
+
+class TestContinuations:
+    def test_hold_then_sleep_serializes_on_the_resource(self, engine, gpu):
+        s1, s2 = gpu.new_stream(), gpu.new_stream()
+        log = []
+
+        def held(tag):
+            def fin(o):
+                log.append((tag, engine.now))
+                o.finish(tag)
+            return lambda o: o.hold_then_sleep(gpu.host_link, 1.0, 0.5, fin)
+
+        s1.enqueue(held("a"))
+        s2.enqueue(held("b"))
+        engine.run()
+        # b waits for a's 1.0 s hold, not for a's trailing sleep.
+        assert log == [("a", 1.5), ("b", 2.5)]
+
+    def test_failed_wait_fails_the_op(self, engine, gpu):
+        stream = gpu.new_stream()
+        broken = engine.event()
+        done = stream.enqueue(op(engine, 1.0), waits=[broken])
+        done._defused = True
+        broken.fail(RuntimeError("upstream"))
+        engine.run()
+        assert not done.ok
+        assert isinstance(done.value, RuntimeError)
+
+    def test_abort_pending_kills_ops_and_frees_the_link(self, engine, gpu):
+        s1, s2 = gpu.new_stream(), gpu.new_stream()
+        running = s1.enqueue(
+            lambda o: o.hold_then_sleep(gpu.host_link, 5.0, 0.0,
+                                        lambda o: o.finish(None)))
+        queued = s1.enqueue(op(engine, 1.0))
+        engine.run(until=0.5)
+        assert s1.abort_pending("crash") == 2
+        other = s2.enqueue(
+            lambda o: o.hold_then_sleep(gpu.host_link, 1.0, 0.0,
+                                        lambda o: o.finish(engine.now)))
+        engine.run()
+        assert not running.triggered and not queued.triggered
+        assert other.value == pytest.approx(1.5)   # link freed at 0.5

@@ -135,6 +135,26 @@ class TestErrorMapping:
         daemon = _daemon(tenant_quota=1)
         _run(_with_daemon(daemon, scenario))
 
+    def test_undersized_workload_is_a_bad_spec(self):
+        # The footprint cannot hold mle's real backing arrays: the build
+        # refuses it, and the client must get a 400 with the reason —
+        # not a dropped connection.
+        async def scenario(port):
+            status, error = await _request(
+                port, "POST", "/v1/run",
+                {"workload": "mle", "footprint_bytes": 107374})
+            assert status == 400
+            assert "smaller than the real backing" in error["error"]
+            status, _ = await _request(port, "GET", "/healthz")
+            assert status == 200
+
+        daemon = _daemon()
+        _run(_with_daemon(daemon, scenario))
+        rejected = daemon.service.runtime.metrics.family(
+            "grout_serve_sessions_rejected_total")
+        assert rejected.labels(tenant="default",
+                               reason="bad-spec").value == 1
+
     def test_invalid_json_body(self):
         async def scenario(port):
             reader, writer = await asyncio.open_connection(
